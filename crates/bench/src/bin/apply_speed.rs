@@ -1,8 +1,7 @@
 //! `apply_speed` — single-vector vs blocked serving throughput for every
 //! `CouplingOp` representation, including both wavelet serving paths
 //! (`wavelet_fwt`: tree-structured fast transform; `wavelet`: the
-//! explicit-CSR fallback) and the level-parallel fast-transform pipeline
-//! (`wavelet_fwt_lp`, threaded rows only).
+//! explicit-CSR fallback), serial and through `ParallelApply`.
 //!
 //! ```text
 //! cargo run --release -p subsparse-bench --bin apply_speed -- \
@@ -19,11 +18,13 @@
 //! (method × n × block-width × thread-count → ns/vector), the
 //! perf-trajectory file CI tracks. `--threads T` sets the worker count of
 //! the thread-parallel rows (default 2; `--threads 1` drops them,
-//! `--threads 0` uses one worker per CPU). `--min-work W` overrides the
-//! executors' min-work-per-worker dispatch threshold (`--min-work 0`
+//! `--threads 0` uses one worker per CPU). `--min-work W` overrides
+//! `ParallelApply`'s min-work-per-worker dispatch threshold (`--min-work 0`
 //! forces threaded rows to engage the pool even on small fixtures; the
 //! default keeps the serving threshold, under which too-small applies run
-//! inline and emit no threaded row). `--baseline FILE` diffs this run's
+//! inline and emit no threaded row). A representation that cannot shard
+//! a block — the fast wavelet transform at block width 1 — emits no
+//! threaded row either. `--baseline FILE` diffs this run's
 //! `ns_per_vector` against a committed `BENCH_apply_speed.json` and exits
 //! nonzero if any matched row regressed more than `BASELINE_TOL_FRAC` —
 //! the diff is meta-aware: a baseline recorded under a different

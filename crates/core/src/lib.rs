@@ -137,7 +137,7 @@ pub use subsparse_substrate::{Backplane, Layer, Substrate, SubstrateSolver};
 pub use subsparse_linalg::trace;
 
 /// Zero-dependency fault injection: named failpoints at the fragile
-/// seams (model reads, solver outputs, pool and FWT workers),
+/// seams (model reads, solver outputs, pool workers),
 /// configurable from code, a spec string, or `SUBSPARSE_FAULTS`
 /// (re-export of [`subsparse_linalg::faults`]).
 pub use subsparse_linalg::faults;

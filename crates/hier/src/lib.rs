@@ -18,6 +18,6 @@ pub mod moments;
 pub mod rep;
 pub mod tree;
 
-pub use fwt::{FastWaveletTransform, FwtLevel, FwtLevelExec, FwtNode};
+pub use fwt::{FastWaveletTransform, FwtLevel, FwtNode};
 pub use rep::{BasisRep, ModelLoadError, SymmetricAccumulator, FORMAT_VERSION};
 pub use tree::{HierError, Quadtree, Square};

@@ -23,12 +23,12 @@
 //! Thresholding `Gw` trades accuracy for more sparsity (the `Gwt` of the
 //! thesis tables).
 
-use std::sync::Mutex;
-use subsparse_linalg::exec;
 use subsparse_linalg::io::{fnv1a64, ReadMatrixError};
-use subsparse_linalg::{faults, trace, ApplyWorkspace, CouplingOp, Csr, Mat, Triplets};
+use subsparse_linalg::{
+    faults, trace, ApplyWorkspace, CouplingOp, Csr, Mat, ParallelApply, Triplets,
+};
 
-use crate::fwt::{FastWaveletTransform, FwtLevelExec};
+use crate::fwt::FastWaveletTransform;
 
 // Generic sparse assembly lives next to `Triplets` in `linalg`; re-exported
 // here because the extraction pipelines historically imported it from this
@@ -147,7 +147,11 @@ impl std::error::Error for ModelLoadError {
 /// place would desynchronize the cached transpose/transform, so derived
 /// representations go through [`thresholded`](Self::thresholded) and
 /// friends instead.
-#[derive(Debug)]
+///
+/// Plain immutable data: applies take `&self` and hold no lock, so one
+/// model can serve any number of callers at once. Thread-parallel
+/// serving is the caller's choice, through [`ParallelApply`].
+#[derive(Clone, Debug)]
 pub struct BasisRep {
     /// Orthogonal sparse change-of-basis matrix (columns are basis vectors).
     pub q: Csr,
@@ -158,25 +162,6 @@ pub struct BasisRep {
     qt: Csr,
     /// The tree-structured transform, when the basis has one.
     fwt: Option<FastWaveletTransform>,
-    /// The level-parallel transform executor, folded into the serving
-    /// path proper: blocked applies wide enough to clear its min-work
-    /// threshold run the analysis/synthesis transforms level-parallel
-    /// through the shared pool, smaller ones use the serial transform
-    /// (bit-identical either way). Behind a mutex because applies take
-    /// `&self`; contention falls back to the serial transform.
-    level_exec: Mutex<FwtLevelExec>,
-}
-
-impl Clone for BasisRep {
-    fn clone(&self) -> BasisRep {
-        BasisRep {
-            q: self.q.clone(),
-            gw: self.gw.clone(),
-            qt: self.qt.clone(),
-            fwt: self.fwt.clone(),
-            level_exec: self.level_exec_clone(),
-        }
-    }
 }
 
 impl BasisRep {
@@ -184,7 +169,7 @@ impl BasisRep {
     /// caching `Q'` for row-major analysis applies.
     pub fn new(q: Csr, gw: Csr) -> BasisRep {
         let qt = q.transpose();
-        BasisRep { q, gw, qt, fwt: None, level_exec: Mutex::new(FwtLevelExec::new(0)) }
+        BasisRep { q, gw, qt, fwt: None }
     }
 
     /// Builds a representation served through the fast wavelet transform:
@@ -202,7 +187,7 @@ impl BasisRep {
         assert_eq!(gw.n_rows(), fwt.n(), "transform/Gw dimension mismatch");
         assert_eq!(gw.n_rows(), gw.n_cols(), "Gw must be square");
         let qt = q.transpose();
-        BasisRep { q, gw, qt, fwt: Some(fwt), level_exec: Mutex::new(FwtLevelExec::new(0)) }
+        BasisRep { q, gw, qt, fwt: Some(fwt) }
     }
 
     /// The fast transform, if this representation serves through one.
@@ -214,84 +199,20 @@ impl BasisRep {
     /// transform) — the fallback selector for benchmarking and for
     /// consumers of legacy model files.
     pub fn without_fwt(&self) -> BasisRep {
-        BasisRep {
-            q: self.q.clone(),
-            gw: self.gw.clone(),
-            qt: self.qt.clone(),
-            fwt: None,
-            level_exec: self.level_exec_clone(),
-        }
+        BasisRep { q: self.q.clone(), gw: self.gw.clone(), qt: self.qt.clone(), fwt: None }
     }
 
     /// A copy with the same basis (and serving path) but a different
     /// transformed matrix — the shared core of the thresholding helpers.
     fn with_gw(&self, gw: Csr) -> BasisRep {
-        BasisRep {
-            q: self.q.clone(),
-            gw,
-            qt: self.qt.clone(),
-            fwt: self.fwt.clone(),
-            level_exec: self.level_exec_clone(),
-        }
+        BasisRep { q: self.q.clone(), gw, qt: self.qt.clone(), fwt: self.fwt.clone() }
     }
 
-    /// Reconfigures the embedded level-parallel transform executor
-    /// (`threads`: 0 = auto; `min_work`: 0 disables the inline
-    /// threshold, forcing the parallel transform even on small blocks).
-    /// Purely a performance knob — the level-parallel transform is
-    /// bit-identical to the serial one at every thread count — and the
-    /// hook the contract tests and benches use to force the folded path
-    /// on small fixtures.
-    pub fn with_level_parallel(self, threads: usize, min_work: usize) -> BasisRep {
-        BasisRep {
-            level_exec: Mutex::new(FwtLevelExec::new(threads).with_min_work(min_work)),
-            ..self
-        }
-    }
-
-    /// A fresh mutex around a snapshot of the executor's configuration
-    /// (the copied slot buffers keep their warmth).
-    fn level_exec_clone(&self) -> Mutex<FwtLevelExec> {
-        Mutex::new(self.level_exec.lock().unwrap_or_else(|e| e.into_inner()).clone())
-    }
-
-    /// Runs the analysis transform level-parallel when the block is wide
-    /// enough to engage workers; returns `false` when the caller should
-    /// run the serial transform instead (every level below the min-work
-    /// threshold, or another apply holds the executor) — bit-identical
-    /// either way.
-    fn try_forward_parallel(
-        &self,
-        fwt: &FastWaveletTransform,
-        x: &Mat,
-        out: &mut Mat,
-        s1: &mut Mat,
-        s2: &mut Mat,
-    ) -> bool {
-        let Ok(mut ex) = self.level_exec.try_lock() else { return false };
-        if !ex.engages(fwt, x.n_cols()) {
-            return false;
-        }
-        ex.forward_block_into(fwt, x, out, s1, s2);
-        true
-    }
-
-    /// Synthesis-side counterpart of
-    /// [`try_forward_parallel`](Self::try_forward_parallel).
-    fn try_inverse_parallel(
-        &self,
-        fwt: &FastWaveletTransform,
-        c: &Mat,
-        x: &mut Mat,
-        s1: &mut Mat,
-        s2: &mut Mat,
-    ) -> bool {
-        let Ok(mut ex) = self.level_exec.try_lock() else { return false };
-        if !ex.engages(fwt, c.n_cols()) {
-            return false;
-        }
-        ex.inverse_block_into(fwt, c, x, s1, s2);
-        true
+    /// Identity (every blocked apply runs the serial transform).
+    // Kept for source compatibility: `pipeline_bench` still pins its serial rows with it.
+    #[doc(hidden)]
+    pub fn with_level_parallel(self, _threads: usize, _min_work: usize) -> BasisRep {
+        self
     }
 
     /// Number of contacts.
@@ -348,65 +269,33 @@ impl BasisRep {
         self.dense_columns_threaded(cols, 1)
     }
 
-    /// [`dense_columns`](Self::dense_columns) with the column list cut
-    /// into contiguous shards dispatched over `threads` pool workers
-    /// (0 = auto), each running the serial panel loop with its own
-    /// workspace into a disjoint column range of the output. Every
-    /// column is the serial kernel's own bits, so the threaded
-    /// materialization is bit-identical to
+    /// [`dense_columns`](Self::dense_columns) on `threads` pool workers
+    /// (0 = auto): unit-vector panels of `32 x workers` columns go
+    /// through [`ParallelApply`], which shards each panel's columns. A
+    /// blocked apply matches the per-vector apply column by column, so
+    /// the result is bit-identical to
     /// [`dense_columns`](Self::dense_columns) for every thread count.
     pub fn dense_columns_threaded(&self, cols: &[usize], threads: usize) -> Mat {
         let n = self.n();
+        let mut pool = ParallelApply::new(threads);
+        let panel = 32 * pool.resolved_threads();
         let mut g = Mat::zeros(n, cols.len());
-        let workers = subsparse_linalg::resolve_threads(threads).min(cols.len()).max(1);
-        if workers <= 1 || n == 0 {
-            self.fill_columns(cols, &mut g);
-            return g;
-        }
-        let w = cols.len().div_ceil(workers);
-        let shards = cols.len().div_ceil(w);
-        let panels = exec::ShardSlices::new(g.data_mut(), n * w);
-        let poisoned = exec::Executor::global().run(shards, &|k| {
-            let shard = &cols[k * w..((k + 1) * w).min(cols.len())];
-            let mut out = Mat::zeros(n, shard.len());
-            self.fill_columns(shard, &mut out);
-            // Safety: shard k alone writes panel k
-            let panel = unsafe { panels.chunk(k) };
-            panel.copy_from_slice(out.data());
-        });
-        if poisoned {
-            // a shard's panel is suspect; materialization is a cold
-            // path, so rebuild everything through the serial kernel
-            // (bit-identical by construction)
-            self.fill_columns(cols, &mut g);
-        }
-        g
-    }
-
-    /// The shared materialization core: writes `G(:, cols)` into the
-    /// leading columns of `g`, 32 columns per blocked apply.
-    fn fill_columns(&self, cols: &[usize], g: &mut Mat) {
-        const PANEL: usize = 32;
-        let n = self.n();
-        let mut ws = ApplyWorkspace::new();
         let mut e = Mat::zeros(0, 0);
         let mut y = Mat::zeros(0, 0);
-        let mut p0 = 0;
-        while p0 < cols.len() {
-            let p1 = (p0 + PANEL).min(cols.len());
-            e.resize(n, p1 - p0);
+        for (p, chunk) in cols.chunks(panel).enumerate() {
+            e.resize(n, chunk.len());
             for ej in e.cols_mut() {
                 ej.fill(0.0);
             }
-            for (k, &j) in cols[p0..p1].iter().enumerate() {
+            for (k, &j) in chunk.iter().enumerate() {
                 e.col_mut(k)[j] = 1.0;
             }
-            self.apply_block_into(&e, &mut y, &mut ws);
-            for k in p0..p1 {
-                g.col_mut(k).copy_from_slice(y.col(k - p0));
+            pool.apply_block_into(self, &e, &mut y);
+            for k in 0..chunk.len() {
+                g.col_mut(p * panel + k).copy_from_slice(y.col(k));
             }
-            p0 = p1;
         }
+        g
     }
 
     /// Drops entries of `Gw` with `|value| <= threshold` (thesis `Gwt`).
@@ -453,7 +342,7 @@ impl BasisRep {
             .iter()
             .map(|(i, j, v)| v.abs() / (diag[i] * diag[j]).sqrt().max(1e-300))
             .collect();
-        ratios.sort_by(|a, b| b.partial_cmp(a).unwrap());
+        ratios.sort_by(|a, b| b.total_cmp(a));
         let frac = if target_nnz == 0 {
             ratios[0]
         } else {
@@ -611,7 +500,7 @@ impl BasisRep {
             return (self.clone(), 0.0);
         }
         let mut abs = self.gw.abs_values();
-        abs.sort_by(|a, b| b.partial_cmp(a).unwrap());
+        abs.sort_by(|a, b| b.total_cmp(a));
         // keep the target_nnz largest entries
         let threshold = if target_nnz == 0 { abs[0] } else { abs[target_nnz - 1] };
         // drop strictly-below semantics: use the next value down as cut
@@ -679,30 +568,31 @@ impl CouplingOp for BasisRep {
         self.prepare_rows(x, ws);
         let (wa, wb, wc) = ws.mats3();
         if let Some(fwt) = &self.fwt {
-            if !self.try_inverse_parallel(fwt, wb, y, wa, wc) {
-                fwt.inverse_block_into(wb, y, wa, wc);
-            }
+            fwt.inverse_block_into(wb, y, wa, wc);
         } else {
             let _q = trace::span("rep.q");
             self.q.matmul_dense_into(wb, y);
         }
     }
 
+    /// Only the explicit-CSR path row-shards. The fast transform's
+    /// synthesis is already `O(n·p)`: a per-range restriction of it,
+    /// plus the serial analysis every range waits on, measured slower
+    /// than one serial apply, so `ParallelApply` shards an FWT rep's
+    /// columns or serves it inline.
     fn supports_row_shard(&self) -> bool {
-        true
+        self.fwt.is_none()
     }
 
     /// The cooperative phase: the transformed-basis coefficients
-    /// `C = Gw (Q' X)` — the analysis transform plus the sparse product —
+    /// `C = Gw (Q' X)` — the analysis half plus the sparse product —
     /// computed once into the shared workspace (second scratch matrix).
     /// Only the synthesis (`Q C`, whose output rows are independent) is
     /// row-sharded.
     fn prepare_rows(&self, x: &Mat, prep: &mut ApplyWorkspace) {
         let (wa, wb, wc) = prep.mats3();
         if let Some(fwt) = &self.fwt {
-            if !self.try_forward_parallel(fwt, x, wa, wb, wc) {
-                fwt.forward_block_into(x, wa, wb, wc);
-            }
+            fwt.forward_block_into(x, wa, wb, wc);
             let _gw = trace::span("rep.gw");
             self.gw.matmul_dense_into(wa, wb);
         } else {
@@ -722,16 +612,11 @@ impl CouplingOp for BasisRep {
         i0: usize,
         i1: usize,
         y_rows: &mut Mat,
-        ws: &mut ApplyWorkspace,
+        _ws: &mut ApplyWorkspace,
     ) {
+        assert!(self.fwt.is_none(), "basis-rep-fwt: row-sharded apply is not supported");
         let (_, wb, _) = prep.mats_ref();
-        if let Some(fwt) = &self.fwt {
-            // row-restricted synthesis through the tree, private scratch
-            let (s1, s2) = ws.mats();
-            fwt.inverse_rows_into(wb, i0, i1, y_rows, s1, s2);
-        } else {
-            self.q.matmul_dense_rows_into(wb, i0, i1, y_rows);
-        }
+        self.q.matmul_dense_rows_into(wb, i0, i1, y_rows);
     }
 }
 
@@ -975,6 +860,14 @@ mod tests {
         let (same, cut0) = r.thresholded_to_sparsity(1.0);
         assert_eq!(same.gw.nnz(), r.gw.nnz());
         assert_eq!(cut0, 0.0);
+        // a NaN entry is ordered, not a panic, on both threshold scales
+        let mut t = Triplets::new(3, 3);
+        for (i, j, v) in [(0, 0, 2.0), (1, 1, f64::NAN), (2, 2, 4.0), (0, 1, -0.5)] {
+            t.push(i, j, v);
+        }
+        let nan_rep = BasisRep::new(Csr::identity(3), t.to_csr());
+        assert!(nan_rep.thresholded_to_sparsity(3.0).0.gw.nnz() < nan_rep.gw.nnz());
+        assert!(nan_rep.thresholded_scaled_to_sparsity(3.0).0.gw.nnz() <= nan_rep.gw.nnz());
     }
 
     #[test]
@@ -1098,6 +991,39 @@ mod tests {
         std::fs::write(&gw_path, tampered).unwrap();
         let err = BasisRep::load(&stem).unwrap_err();
         assert!(matches!(err, ModelLoadError::Corrupt { .. }), "{err}");
+        std::fs::remove_file(gw_path).ok();
+        std::fs::remove_file(dir.join("model.q.mtx")).ok();
+    }
+
+    #[test]
+    fn load_rejects_non_finite_factor_values() {
+        // a digest-consistent save of a Gw holding NaN: integrity checks
+        // pass, so the value parser is what must refuse the model
+        let mut t = Triplets::new(3, 3);
+        for (i, j, v) in [(0, 0, 2.0), (1, 1, f64::NAN), (2, 2, 4.0)] {
+            t.push(i, j, v);
+        }
+        let dir = std::env::temp_dir().join("subsparse_rep_nan_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let stem = dir.join("model");
+        BasisRep::new(Csr::identity(3), t.to_csr()).save(&stem).unwrap();
+        let gw_path = dir.join("model.gw.mtx");
+        let saved = std::fs::read_to_string(&gw_path).unwrap();
+        let canonical: String = saved
+            .split_inclusive('\n')
+            .filter(|l| parse_digest_line(l.trim_end()).is_none())
+            .collect();
+        for token in ["NaN", "nan", "inf", "-inf"] {
+            let text = canonical.replace("NaN", token);
+            std::fs::write(&gw_path, with_digest_line(text.as_bytes())).unwrap();
+            match BasisRep::load(&stem) {
+                Err(ModelLoadError::Malformed { file, detail }) => {
+                    assert!(file.ends_with("model.gw.mtx"), "{file}");
+                    assert!(detail.contains(token), "{token}: {detail}");
+                }
+                other => panic!("{token}: expected Malformed, got {other:?}"),
+            }
+        }
         std::fs::remove_file(gw_path).ok();
         std::fs::remove_file(dir.join("model.q.mtx")).ok();
     }

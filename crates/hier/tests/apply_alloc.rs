@@ -15,6 +15,9 @@ use subsparse_linalg::{
     faults, svd, trace, ApplyWorkspace, CouplingOp, Csr, LowRankOp, Mat, ParallelApply, Triplets,
 };
 
+mod common;
+use common::binary_haar;
+
 /// Forwards to the system allocator, counting allocations.
 struct CountingAlloc;
 
@@ -167,19 +170,26 @@ fn apply_into_is_allocation_free_after_warmup() {
     // allocation-free, and a thousand applies allocate exactly as much
     // as one.
     // (min_work 0: these fixtures sit below the default inline-serve
-    // threshold, and this section is about the threaded dispatch path)
+    // threshold, and this section is about the threaded dispatch path).
+    // The fast-wavelet rep threads through column shards only, so a
+    // 64-contact Haar chain covers its pool dispatch here.
+    let chain_rep = haar_chain_rep64();
+    assert_eq!(chain_rep.kind(), "basis-rep-fwt");
+    let xb64 = Mat::from_fn(64, 8, |i, j| ((i * 5 + j) as f64).cos());
     let workers = 2;
     let mut pool = ParallelApply::new(workers).with_min_work(0);
-    for op in [&dense as &(dyn CouplingOp + Sync), &sparse, &rep, &lowrank] {
+    let col_cases: [(&(dyn CouplingOp + Sync), &Mat); 5] =
+        [(&dense, &xb), (&sparse, &xb), (&rep, &xb), (&lowrank, &xb), (&chain_rep, &xb64)];
+    for (op, x) in col_cases {
         pool.warm(op, 8);
         for _ in 0..4 {
-            pool.apply_block_into(op, &xb, &mut yp); // spawn + settle the pool
+            pool.apply_block_into(op, x, &mut yp); // spawn + settle the pool
         }
-        let one = allocations_during(|| pool.apply_block_into(op, &xb, &mut yp));
+        let one = allocations_during(|| pool.apply_block_into(op, x, &mut yp));
         assert_eq!(one, 0, "{}: threaded dispatch allocated after warm-up", op.kind());
         let thousand = allocations_during(|| {
             for _ in 0..1000 {
-                pool.apply_block_into(op, &xb, &mut yp);
+                pool.apply_block_into(op, x, &mut yp);
             }
         });
         assert_eq!(
@@ -197,16 +207,10 @@ fn apply_into_is_allocation_free_after_warmup() {
     // analysis half into the pool's cooperative workspace, then workers
     // run the row-restricted synthesis. After warm-up the whole apply —
     // prepare, shard, publish — must again allocate nothing. Covered:
-    // the CSR `Q Gw Q'` sandwich, the factored low-rank op, and a
-    // 64-contact Haar chain on the fast-wavelet synthesis (big enough
-    // for two row shards).
+    // the CSR `Q Gw Q'` sandwich and the factored low-rank op.
     let x1 = Mat::from_fn(n, 1, |i, _| ((i * 3) as f64).sin());
-    let chain_rep = haar_chain_rep64();
-    assert_eq!(chain_rep.kind(), "basis-rep-fwt");
-    let x64 = Mat::from_fn(64, 1, |i, _| ((i * 5) as f64).cos());
     let mut pool_rows = ParallelApply::new(workers).with_min_work(0);
-    let cases: [(&(dyn CouplingOp + Sync), &Mat); 3] =
-        [(&rep, &x1), (&lowrank, &x1), (&chain_rep, &x64)];
+    let cases: [(&(dyn CouplingOp + Sync), &Mat); 2] = [(&rep, &x1), (&lowrank, &x1)];
     for (op, x) in cases {
         assert!(op.supports_row_shard(), "{}: expected two-phase support", op.kind());
         let shards = pool_rows.planned_workers(op, 1);
@@ -225,46 +229,16 @@ fn apply_into_is_allocation_free_after_warmup() {
     }
 }
 
-/// A complete binary Haar chain on 64 contacts (pairs combined per
-/// level), with a banded sparse `Gw` — the fast-wavelet fixture for the
-/// two-phase row-shard allocation contract.
+/// A 64-contact binary Haar chain ([`binary_haar`]) with a banded sparse
+/// `Gw` — the fast-wavelet fixture for the column-sharded pool contract.
 fn haar_chain_rep64() -> BasisRep {
     let n = 64usize;
-    let r = 0.5f64.sqrt();
-    let mut levels = Vec::new();
-    let mut blocks = Vec::new();
-    let mut m = n;
-    let mut li = 0;
-    while m >= 2 {
-        let pairs = m / 2;
-        let wavelet_base = n >> (li + 1);
-        let nodes = (0..pairs)
-            .map(|i| {
-                let block_offset = blocks.len();
-                blocks.extend_from_slice(&[r, r, r, -r]);
-                FwtNode {
-                    in_offset: 2 * i,
-                    in_len: 2,
-                    v_cols: 1,
-                    w_cols: 1,
-                    out_offset: i,
-                    col_start: wavelet_base + i,
-                    block_offset,
-                }
-            })
-            .collect();
-        levels.push(FwtLevel { nodes, coeff_len: pairs });
-        m = pairs;
-        li += 1;
-    }
-    let fwt =
-        FastWaveletTransform::from_parts(n, 1, levels, (0..n as u32).collect(), blocks).unwrap();
     let mut tg = Triplets::new(n, n);
     for i in 0..n {
         tg.push(i, i, 2.0 + i as f64 * 0.05);
         tg.push(i, (i + 5) % n, -0.125);
     }
-    BasisRep::with_fwt(Csr::identity(n), tg.to_csr(), fwt)
+    BasisRep::with_fwt(Csr::identity(n), tg.to_csr(), binary_haar(n))
 }
 
 /// A 2-level quadtree-style transform on 8 contacts: four finest pairs,

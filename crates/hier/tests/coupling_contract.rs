@@ -13,6 +13,9 @@ use subsparse_linalg::{
     svd, ApplyWorkspace, CouplingOp, Csr, LowRankOp, Mat, ParallelApply, Triplets,
 };
 
+mod common;
+use common::binary_haar;
+
 /// Deterministic dense matrix with a sprinkling of exact zeros (the
 /// kernels skip zero inputs, so zeros must be exercised).
 fn random_mat(n_rows: usize, n_cols: usize, seed: u64) -> Mat {
@@ -90,14 +93,16 @@ fn assert_parallel_bit_agrees(op: &(dyn CouplingOp + Sync), label: &str) {
     // the contract fixtures sit far below the default min-work inline
     // threshold, so the threaded paths this suite exists to pin would
     // silently degrade to serial; min_work 0 forces them to engage — and
-    // on operators with at least two row shards' worth of rows, the
-    // row-sharded (two-phase, for the structured reps) path must actually
-    // be the one dispatched on narrow blocks
+    // on operators with at least two row shards' worth of rows, a
+    // narrow block goes to the row-sharded (two-phase, for the structured
+    // reps) path exactly when the op supports it, and inline otherwise
     if n >= 32 {
-        assert!(
-            ParallelApply::new(2).with_min_work(0).planned_workers(op, 1) > 1,
-            "{label}: narrow-block apply must engage the row-sharded path"
-        );
+        let planned = ParallelApply::new(2).with_min_work(0).planned_workers(op, 1);
+        if op.supports_row_shard() {
+            assert!(planned > 1, "{label}: narrow-block apply must engage the row-sharded path");
+        } else {
+            assert_eq!(planned, 1, "{label}: narrow-block apply must serve inline");
+        }
     }
     // 1, 2, auto-detected, and more workers than rows/columns
     for threads in [1usize, 2, 0, n + 7] {
@@ -136,12 +141,12 @@ fn parallel_apply_bit_agrees_on_every_representation() {
     let fwt_rep = haar8_rep();
     assert_eq!(fwt_rep.kind(), "basis-rep-fwt");
     assert_parallel_bit_agrees(&fwt_rep, "basis-rep-fwt");
-    // and a tree big enough to row-shard pins the two-phase path: the
-    // shared analysis half computed once, the restricted synthesis
-    // reassembling the serial bits across every range
-    let big_fwt_rep = haar_chain_rep(64);
+    // a tree big enough for row ranges still threads by columns only:
+    // the fast transform never row-shards, and its explicit-CSR twin does
+    let big_fwt_rep = haar_chain_rep64();
     assert_eq!(big_fwt_rep.kind(), "basis-rep-fwt");
-    assert!(big_fwt_rep.supports_row_shard());
+    assert!(!big_fwt_rep.supports_row_shard());
+    assert!(big_fwt_rep.without_fwt().supports_row_shard());
     assert_parallel_bit_agrees(&big_fwt_rep, "basis-rep-fwt-64");
 }
 
@@ -204,42 +209,11 @@ fn haar8_rep() -> BasisRep {
     BasisRep::with_fwt(Csr::identity(8), random_csr(8, 8, 0.5, 26), fwt)
 }
 
-/// A complete binary Haar chain on `n = 2^k` contacts (pairs of scaling
-/// coefficients combined per level) with a random sparse `Gw` — large
-/// enough that narrow-block parallel applies dispatch the two-phase
-/// row-sharded synthesis instead of degrading to serial.
-fn haar_chain_rep(n: usize) -> BasisRep {
-    assert!(n.is_power_of_two() && n >= 2);
-    let r = 0.5f64.sqrt();
-    let mut levels = Vec::new();
-    let mut blocks = Vec::new();
-    let mut m = n;
-    let mut li = 0;
-    while m >= 2 {
-        let pairs = m / 2;
-        let wavelet_base = n >> (li + 1);
-        let nodes = (0..pairs)
-            .map(|i| {
-                let block_offset = blocks.len();
-                blocks.extend_from_slice(&[r, r, r, -r]);
-                FwtNode {
-                    in_offset: 2 * i,
-                    in_len: 2,
-                    v_cols: 1,
-                    w_cols: 1,
-                    out_offset: i,
-                    col_start: wavelet_base + i,
-                    block_offset,
-                }
-            })
-            .collect();
-        levels.push(FwtLevel { nodes, coeff_len: pairs });
-        m = pairs;
-        li += 1;
-    }
-    let fwt =
-        FastWaveletTransform::from_parts(n, 1, levels, (0..n as u32).collect(), blocks).unwrap();
-    BasisRep::with_fwt(Csr::identity(n), random_csr(n, n, 0.2, 27), fwt)
+/// A 64-contact binary Haar chain ([`binary_haar`]) with a random
+/// sparse `Gw` — large enough that an op which did row-shard would
+/// dispatch row ranges on narrow blocks.
+fn haar_chain_rep64() -> BasisRep {
+    BasisRep::with_fwt(Csr::identity(64), random_csr(64, 64, 0.2, 27), binary_haar(64))
 }
 
 #[test]

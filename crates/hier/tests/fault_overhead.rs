@@ -23,41 +23,11 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use subsparse_hier::fwt::{FwtLevel, FwtNode};
-use subsparse_hier::{BasisRep, FastWaveletTransform};
+use subsparse_hier::BasisRep;
 use subsparse_linalg::{faults, ApplyWorkspace, CouplingOp, Csr, Mat, ParallelApply, Triplets};
 
-/// A full binary Haar transform on `n = 2^k` contacts (the
-/// `trace_overhead` fixture): `log2(n)` levels of 2→1 pairing blocks.
-fn binary_haar(n: usize) -> FastWaveletTransform {
-    assert!(n.is_power_of_two() && n >= 2);
-    let r = 0.5f64.sqrt();
-    let mut blocks = Vec::new();
-    let mut levels = Vec::new();
-    let mut m = n;
-    while m >= 2 {
-        let half = m / 2;
-        let base = blocks.len();
-        let nodes = (0..half)
-            .map(|s| FwtNode {
-                in_offset: 2 * s,
-                in_len: 2,
-                v_cols: 1,
-                w_cols: 1,
-                out_offset: s,
-                col_start: half + s,
-                block_offset: base + 4 * s,
-            })
-            .collect();
-        for _ in 0..half {
-            blocks.extend_from_slice(&[r, r, r, -r]);
-        }
-        levels.push(FwtLevel { nodes, coeff_len: half });
-        m = half;
-    }
-    FastWaveletTransform::from_parts(n, 1, levels, (0..n as u32).collect(), blocks)
-        .expect("valid binary haar transform")
-}
+mod common;
+use common::binary_haar;
 
 #[test]
 fn disarmed_failpoints_cost_nothing_measurable() {

@@ -12,39 +12,15 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
-use subsparse_hier::fwt::{FwtLevel, FwtNode};
 use subsparse_hier::rep::ModelLoadError;
-use subsparse_hier::{BasisRep, FastWaveletTransform};
+use subsparse_hier::BasisRep;
 use subsparse_linalg::{Csr, Triplets};
 
+mod common;
+use common::binary_haar;
+
 fn example_rep(n: usize) -> BasisRep {
-    assert!(n.is_power_of_two());
-    let r = 0.5f64.sqrt();
-    let mut blocks = Vec::new();
-    let mut levels = Vec::new();
-    let mut m = n;
-    while m >= 2 {
-        let half = m / 2;
-        let base = blocks.len();
-        let nodes = (0..half)
-            .map(|s| FwtNode {
-                in_offset: 2 * s,
-                in_len: 2,
-                v_cols: 1,
-                w_cols: 1,
-                out_offset: s,
-                col_start: half + s,
-                block_offset: base + 4 * s,
-            })
-            .collect();
-        for _ in 0..half {
-            blocks.extend_from_slice(&[r, r, r, -r]);
-        }
-        levels.push(FwtLevel { nodes, coeff_len: half });
-        m = half;
-    }
-    let fwt = FastWaveletTransform::from_parts(n, 1, levels, (0..n as u32).collect(), blocks)
-        .expect("valid transform");
+    let fwt = binary_haar(n);
     let mut t = Triplets::new(n, n);
     for i in 0..n {
         t.push(i, i, 2.0 + (i % 5) as f64 * 0.25);

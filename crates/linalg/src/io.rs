@@ -126,8 +126,8 @@ pub fn write_matrix_market_commented<W: Write>(
 ///
 /// Returns an error on I/O failure, an unsupported header (only
 /// `coordinate real general` and `coordinate real symmetric` are
-/// handled), or malformed content. Symmetric files are expanded to full
-/// storage.
+/// handled), or malformed content, a NaN or infinite value included.
+/// Symmetric files are expanded to full storage.
 pub fn read_matrix_market<R: BufRead>(r: R) -> Result<Csr, ReadMatrixError> {
     let mut lines = r.lines().enumerate();
     // header
@@ -187,10 +187,17 @@ pub fn read_matrix_market<R: BufRead>(r: R) -> Result<Csr, ReadMatrixError> {
                     line: idx + 1,
                     message: format!("bad column index {:?}", fields[1]),
                 })?;
-                let v: f64 = fields[2].parse().map_err(|_| ReadMatrixError::Parse {
+                // `f64::from_str` also accepts `nan`/`inf`, which no
+                // conductance can be: a model holding one serves NaN
+                let bad_value = || ReadMatrixError::Parse {
                     line: idx + 1,
                     message: format!("bad value {:?}", fields[2]),
-                })?;
+                };
+                let v = fields[2]
+                    .parse::<f64>()
+                    .ok()
+                    .filter(|v| v.is_finite())
+                    .ok_or_else(bad_value)?;
                 if i == 0 || j == 0 || i > nr || j > nc {
                     return Err(ReadMatrixError::IndexOutOfRange {
                         line: idx + 1,
@@ -291,6 +298,19 @@ mod tests {
                 assert!(message.contains("one"), "{message}");
             }
             other => panic!("expected Parse, got {other:?}"),
+        }
+        // non-finite values parse as f64 but are no conductance
+        for bad in ["nan", "NaN", "inf", "-inf", "infinity"] {
+            let text = format!(
+                "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n2 2 {bad}\n"
+            );
+            match read_matrix_market(text.as_bytes()) {
+                Err(ReadMatrixError::Parse { line, message }) => {
+                    assert_eq!(line, 4, "{bad}");
+                    assert!(message.contains(bad), "{bad}: {message}");
+                }
+                other => panic!("{bad}: expected Parse, got {other:?}"),
+            }
         }
     }
 

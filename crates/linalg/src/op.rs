@@ -35,15 +35,17 @@
 //!
 //! ## Thread-parallel serving
 //!
-//! [`ParallelApply`] is the layer above: it shards one
-//! [`apply_block_into`](CouplingOp::apply_block_into) call across scoped
-//! worker threads — contiguous column panels when the block is wide
-//! enough to feed every worker, disjoint row ranges (for representations
-//! that support [`apply_rows_into`](CouplingOp::apply_rows_into)) when it
-//! is not. Every shard runs the unmodified serial kernel, so the
-//! assembled result is **bit-identical to the serial apply for every
-//! thread count** — the same determinism contract the batched extraction
-//! side (`solve_batch`) honors. Each worker owns a persistent
+//! [`ParallelApply`] is the layer above, and the one way a served
+//! operator is threaded: it shards one
+//! [`apply_block_into`](CouplingOp::apply_block_into) call across the
+//! persistent shared worker pool ([`Executor`](crate::exec::Executor)) —
+//! contiguous column panels when the block is wide enough to feed every
+//! worker, disjoint row ranges (for representations that support
+//! [`apply_rows_into`](CouplingOp::apply_rows_into)) when it is not.
+//! Every shard runs the unmodified serial kernel, so the assembled
+//! result is **bit-identical to the serial apply for every thread
+//! count** — the same determinism contract the batched extraction side
+//! (`solve_batch`) honors. Each worker owns a persistent
 //! [`ApplyWorkspace`] plus staging buffers, reused across calls, so the
 //! steady-state serving work allocates nothing per worker.
 //!
@@ -211,11 +213,12 @@ pub trait CouplingOp {
     ///
     /// True for the flat representations (dense, CSR), where every output
     /// row is computed independently from its own stored values, and for
-    /// the structured pipelines (`BasisRep`, `LowRankOp`) via the
-    /// two-phase protocol: [`prepare_rows`](Self::prepare_rows) computes
-    /// the shared analysis half (`Gw (Q' X)`, `s ∘ (V' X)`) **once** into
-    /// a cooperative workspace, and only the synthesis half (`Q ·`,
-    /// `U ·`) — whose output rows are independent — is row-sharded.
+    /// the structured pipelines (the explicit-CSR `BasisRep`, `LowRankOp`)
+    /// via the two-phase protocol: [`prepare_rows`](Self::prepare_rows)
+    /// computes the shared analysis half (`Gw (Q' X)`, `s ∘ (V' X)`)
+    /// **once** into a cooperative workspace, and only the synthesis half
+    /// (`Q ·`, `U ·`) — whose output rows are independent — is
+    /// row-sharded.
     fn supports_row_shard(&self) -> bool {
         false
     }
@@ -389,7 +392,7 @@ impl WorkerSlot {
 
     /// One row shard: rows `[i0, i1)` of `Y = G X` into the slot's `y`
     /// panel (published into the interleaved output by the caller after
-    /// the parallel scope ends — row ranges of a column-major matrix are
+    /// the dispatch returns — row ranges of a column-major matrix are
     /// not contiguous, so workers cannot own disjoint slices of it).
     /// `prep` is the executor's shared prepared workspace, read-only.
     fn run_row_shard<O: CouplingOp + ?Sized>(
@@ -458,11 +461,11 @@ impl std::error::Error for ApplyError {}
 /// `apply_speed` CI gate.
 ///
 /// Worker state — one [`ApplyWorkspace`] plus input/output staging panels
-/// per worker — lives in the executor and is reused across calls, so
-/// steady-state serving work performs no allocation per worker (pinned by
-/// `crates/hier/tests/apply_alloc.rs`; the scoped-thread launch itself is
-/// the one per-call cost outside the serving path). Construct once per
-/// serving loop, next to the operator, and feed it every block.
+/// per worker — lives in the executor and is reused across calls, and the
+/// pool hands work to parked threads without allocating, so a warm
+/// threaded apply performs no allocation at all (pinned by
+/// `crates/hier/tests/apply_alloc.rs`). Construct once per serving loop,
+/// next to the operator, and feed it every block.
 ///
 /// # Example
 ///
@@ -492,8 +495,8 @@ pub struct ParallelApply {
     slots: Vec<WorkerSlot>,
 }
 
-/// Fewest output rows worth a worker of its own: below this, the
-/// scoped-thread launch costs more than the row shard it would compute.
+/// Fewest output rows worth a worker of its own: below this, handing the
+/// shard to a pool worker costs more than the rows it would compute.
 const MIN_ROWS_PER_SHARD: usize = 16;
 
 /// Default of [`ParallelApply::with_min_work`]: stored-value traversals
@@ -526,12 +529,12 @@ impl ParallelApply {
     }
 
     /// Sets the min-work-per-worker threshold: an apply engages at most
-    /// `nnz(op) x block / min_work` workers, so no worker is spawned for
-    /// less than `min_work` stored-value traversals, and sub-threshold
-    /// applies serve inline (serial kernel, no spawn at all). `0` disables
-    /// the threshold — every apply uses as many workers as the sharding
-    /// axes allow, which the bit-identity contract tests rely on to force
-    /// the threaded paths on arbitrarily small fixtures.
+    /// `nnz(op) x block / min_work` workers, so no worker is handed less
+    /// than `min_work` stored-value traversals, and sub-threshold applies
+    /// serve inline (serial kernel, no dispatch at all). `0` disables the
+    /// threshold — every apply uses as many workers as the sharding axes
+    /// allow, which the bit-identity contract tests rely on to force the
+    /// threaded paths on arbitrarily small fixtures.
     pub fn with_min_work(mut self, min_work: usize) -> Self {
         self.min_work = min_work;
         self
@@ -555,7 +558,7 @@ impl ParallelApply {
     }
 
     /// Workers the threshold allows for an apply of `block` columns over
-    /// `nnz` stored values: each spawned worker must be fed at least
+    /// `nnz` stored values: each engaged worker must be fed at least
     /// [`min_work`](Self::min_work) traversals.
     fn work_capped(&self, nnz: usize, block: usize) -> usize {
         match nnz.saturating_mul(block).checked_div(self.min_work) {
@@ -569,7 +572,7 @@ impl ParallelApply {
     /// actually engage — the dispatch rule of
     /// [`apply_block_into`](Self::apply_block_into) without running it.
     /// `1` means the executor would serve inline (serial kernel, no
-    /// spawn), which callers benchmarking or scheduling threaded serving
+    /// dispatch), which callers benchmarking or scheduling threaded serving
     /// can use to avoid mislabeling a degraded apply as parallel.
     pub fn planned_workers<O: CouplingOp + ?Sized>(&self, op: &O, block: usize) -> usize {
         let n = op.n();
@@ -612,7 +615,7 @@ impl ParallelApply {
     /// but the representation computes output rows independently
     /// ([`CouplingOp::supports_row_shard`]); otherwise it degrades
     /// gracefully to fewer workers (down to a plain inline serial apply,
-    /// which is also the `threads == 1` fast path — no spawn, no copy).
+    /// which is also the `threads == 1` fast path — no dispatch, no copy).
     ///
     /// # Panics
     ///
@@ -669,7 +672,7 @@ impl ParallelApply {
                 return;
             }
             // publish: row ranges interleave across the column-major
-            // output, so the gather happens after the scope
+            // output, so the gather happens after the dispatch
             for (k, slot) in self.slots[..shards].iter().enumerate() {
                 let i0 = k * h;
                 for j in 0..b {
